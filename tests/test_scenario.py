@@ -7,6 +7,7 @@ byte-for-byte, so the refactor provably changed no physics.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -47,6 +48,36 @@ GOLDEN = REPO_ROOT / "tests" / "data" / "golden" / "default_scenario_seed7.json"
 #: transport, latency and energy layers — one per subsystem).
 GOLDEN_EXPERIMENTS = ("tab1", "fig3", "fig13", "fig22", "tab4")
 
+TCP_DES_GOLDEN = REPO_ROOT / "tests" / "data" / "golden" / "tcp_des_seed7.json"
+
+#: Cut-down packet-DES runs pinned by ``TCP_DES_GOLDEN``: loss-based and
+#: model-based TCP side by side, and drop-tail, CoDel and the PEP relay.
+TCP_DES_RUNS = {
+    "fig7": {"algorithms": ("cubic", "bbr"), "duration_s": 5, "repeats": 1},
+    "fig8": {"duration_s": 5},
+    "remedy-comparison": {"duration_s": 3, "variants": ("droptail", "codel", "pep")},
+}
+
+
+def _pin_field(value):
+    """Long traces are pinned by length and SHA-256, everything else verbatim."""
+    if isinstance(value, list) and len(value) > 32:
+        blob = json.dumps(value, sort_keys=True).encode()
+        return {"len": len(value), "sha256": hashlib.sha256(blob).hexdigest()}
+    return value
+
+
+def render_tcp_des_golden() -> bytes:
+    """Canonical rendering of the ``TCP_DES_RUNS`` results at seed 7."""
+    payload = {
+        name: {
+            key: _pin_field(value)
+            for key, value in _to_jsonable(EXPERIMENTS[name].run(seed=7, **params)).items()
+        }
+        for name, params in TCP_DES_RUNS.items()
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
 
 class TestGoldenByteIdentity:
     def test_default_scenario_reproduces_pre_refactor_results(self):
@@ -61,6 +92,12 @@ class TestGoldenByteIdentity:
         }
         rendered = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert rendered.encode() == GOLDEN.read_bytes()
+
+    def test_tcp_des_runs_reproduce_golden_file(self):
+        """The packet DES safety net: TCP (Cubic, BBR, SACK repair, AQM and
+        the PEP relay) must reproduce the results captured before the
+        transport hot-path rewrite, byte for byte."""
+        assert render_tcp_des_golden() == TCP_DES_GOLDEN.read_bytes()
 
     def test_explicit_default_matches_implicit_none(self):
         implicit = _to_jsonable(EXPERIMENTS["tab1"].run(seed=7))

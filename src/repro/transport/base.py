@@ -12,6 +12,7 @@ while keeping everything else fixed (Sec. 4.1).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.audit import core as audit
@@ -109,14 +110,23 @@ class FlowStats:
 
 
 class TcpReceiver:
-    """Receiver half: reassembly cursor plus cumulative ACK generation."""
+    """Receiver half: reassembly cursor plus cumulative ACK generation.
+
+    Out-of-order data is kept as a SACK scoreboard: sorted, disjoint,
+    non-adjacent ``[start, end)`` byte runs above ``rcv_next`` (two
+    parallel lists updated with ``bisect``) and a running total of the
+    bytes they hold, so an ACK costs O(log runs) plus the holes it
+    reports, not a sort of everything buffered.
+    """
 
     def __init__(self, sim: Simulator, path: NetworkPath, flow_id: int) -> None:
         self.sim = sim
         self.path = path
         self.flow_id = flow_id
         self.rcv_next = 0
-        self._out_of_order: dict[int, int] = {}  # seq -> payload length
+        self._run_starts: list[int] = []
+        self._run_ends: list[int] = []
+        self.sacked_bytes = 0
         self.bytes_received = 0
         path.on_forward_delivery(self._on_data)
 
@@ -127,11 +137,14 @@ class TcpReceiver:
         self.bytes_received += payload
         if packet.seq == self.rcv_next:
             self.rcv_next += payload
-            # Drain any contiguous buffered segments.
-            while self.rcv_next in self._out_of_order:
-                self.rcv_next += self._out_of_order.pop(self.rcv_next)
+            # Drain the buffered runs the cursor now reaches.
+            starts = self._run_starts
+            while starts and starts[0] <= self.rcv_next:
+                end = self._run_ends.pop(0)
+                self.sacked_bytes -= end - starts.pop(0)
+                self.rcv_next = max(self.rcv_next, end)
         elif packet.seq > self.rcv_next:
-            self._out_of_order[packet.seq] = payload
+            self._sack(packet.seq, packet.seq + payload)
         ack = Packet(
             flow_id=self.flow_id,
             kind=ACK,
@@ -142,26 +155,33 @@ class TcpReceiver:
                 "ack": self.rcv_next,
                 "ts_echo": packet.meta.get("ts"),
                 "retx_echo": packet.meta.get("retx", False),
-                "sacked": sum(self._out_of_order.values()),
+                "sacked": self.sacked_bytes,
                 "holes": self._holes(),
             },
         )
         self.path.send_reverse(ack)
 
+    def _sack(self, start: int, end: int) -> None:
+        """Merge the received bytes ``[start, end)`` into the scoreboard."""
+        starts, ends = self._run_starts, self._run_ends
+        lo = bisect_right(starts, start)
+        if lo and ends[lo - 1] >= start:
+            lo -= 1  # touches or overlaps the run before it
+            start = starts[lo]
+        hi = bisect_right(starts, end, lo)  # runs starting at or before end
+        if hi > lo:
+            end = max(end, ends[hi - 1])
+        held = sum(ends[i] - starts[i] for i in range(lo, hi))
+        self.sacked_bytes += end - start - held
+        starts[lo:hi] = (start,)
+        ends[lo:hi] = (end,)
+
     def _holes(self, limit: int = 16) -> tuple[tuple[int, int], ...]:
         """Missing byte ranges between the cumulative ack and the highest
-        out-of-order segment (a bounded SACK scoreboard)."""
-        if not self._out_of_order:
-            return ()
-        holes: list[tuple[int, int]] = []
-        cursor = self.rcv_next
-        for seq in sorted(self._out_of_order):
-            if seq > cursor:
-                holes.append((cursor, seq))
-                if len(holes) >= limit:
-                    break
-            cursor = max(cursor, seq + self._out_of_order[seq])
-        return tuple(holes)
+        out-of-order segment (a bounded SACK scoreboard): the gap below
+        each of the first ``limit`` runs."""
+        gap_starts = [self.rcv_next, *self._run_ends[: limit - 1]]
+        return tuple(zip(gap_starts, self._run_starts[:limit]))
 
 
 class TcpSender:
@@ -388,11 +408,20 @@ class TcpSender:
         # multi-packet drops of the 5G path).  This runs regardless of the
         # recovery state: holes created above the recovery point would
         # otherwise linger until an RTO whose backoff has spiralled.
-        for start, end in packet.meta.get("holes", ()):
-            seq = start
-            while seq < end:
-                self._retransmit_hole(seq)
-                seq += self.mss
+        holes = packet.meta.get("holes", ())
+        if holes:
+            # Most segments were repaired within the hold-off, so the skip
+            # test is inlined.  Sending never calls back into this sender,
+            # so ``cum_ack`` and the hold-off hold for the whole sweep.
+            cum_ack = self.cum_ack
+            holdoff = self.srtt if self.srtt is not None else self.rto_s
+            for start, end in holes:
+                for seq in range(start, end, self.mss):
+                    if seq < cum_ack:
+                        continue
+                    recent = self._retx_times.get(seq)
+                    if recent is None or now - recent >= holdoff:
+                        self._repair(seq)
         self._try_send()
 
     def _retransmit_hole(self, seq: int) -> None:
@@ -403,6 +432,10 @@ class TcpSender:
         holdoff = self.srtt if self.srtt is not None else self.rto_s
         if recent is not None and self.sim.now - recent < holdoff:
             return
+        self._repair(seq)
+
+    def _repair(self, seq: int) -> None:
+        """Retransmit the segment at ``seq`` and stamp its repair time."""
         self._retx_times[seq] = self.sim.now
         if len(self._retx_times) > 8192:
             self._retx_times = {

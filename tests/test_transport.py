@@ -1,16 +1,22 @@
 """Tests for the transport layer: TCP machinery, CC algorithms, UDP."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import NR_PROFILE
 from repro.net import PathConfig, Simulator, build_cellular_path
+from repro.net.packet import DATA, Packet
 from repro.transport import (
     CC_ALGORITHMS,
     Bbr,
     Cubic,
     Reno,
     TcpConnection,
+    TcpReceiver,
     UdpSender,
     UdpSink,
     Vegas,
@@ -264,3 +270,148 @@ class TestLossRuns:
 
     def test_single(self):
         assert loss_runs([9]) == [1]
+
+
+class _OracleBwWindow:
+    """Brute-force BBR bandwidth window: every live sample, linear max."""
+
+    def __init__(self) -> None:
+        self.samples: deque[tuple[int, float]] = deque()
+
+    def add(self, round_: int, bps: float) -> None:
+        self.samples.append((round_, bps))
+        while self.samples[0][0] < round_ - 10:
+            self.samples.popleft()
+
+    def max(self) -> float:
+        return max(bps for _, bps in self.samples)
+
+
+#: One BBR filter step: (rounds to advance, new rate or None for a query).
+_BW_STEPS = st.tuples(
+    st.one_of(st.integers(0, 2), st.integers(0, 30)),
+    st.one_of(
+        st.none(),
+        st.sampled_from([1e6, 2e6, 5e6]),  # small alphabet: many ties
+        st.floats(min_value=1.0, max_value=1e10),
+    ),
+)
+
+
+class TestBbrBandwidthFilter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_BW_STEPS, min_size=1, max_size=200))
+    def test_windowed_max_matches_brute_force(self, steps):
+        cc = Bbr(MSS)
+        oracle = _OracleBwWindow()
+        round_ = 0
+        for now, (advance, bps) in enumerate(steps):
+            round_ += advance
+            # Zero acked bytes never complete a round, so the filter sees
+            # exactly the round set here.
+            cc._round = round_
+            cc.on_ack(0, 0.0, float(now), delivery_rate_bps=bps)
+            if bps is not None:
+                oracle.add(round_, bps)
+            if oracle.samples:
+                assert cc.bottleneck_bw_bps == oracle.max()
+            else:
+                assert cc.bottleneck_bw_bps == 8.0 * MSS / 0.01
+
+    def test_dominated_samples_are_dropped(self):
+        cc = Bbr(MSS)
+        for bps in (1e6, 3e6, 2e6, 2e6):
+            cc.on_ack(0, 0.0, 0.0, delivery_rate_bps=bps)
+        assert list(cc._bw_samples) == [(0, 3e6), (0, 2e6)]
+
+
+class _OracleScoreboard:
+    """The sort-based receiver scoreboard: a dict of buffered segments,
+    re-sorted and summed on every ACK."""
+
+    def __init__(self) -> None:
+        self.rcv_next = 0
+        self.out_of_order: dict[int, int] = {}
+
+    def receive(self, seq: int, payload: int) -> None:
+        if seq == self.rcv_next:
+            self.rcv_next += payload
+            while self.rcv_next in self.out_of_order:
+                self.rcv_next += self.out_of_order.pop(self.rcv_next)
+        elif seq > self.rcv_next:
+            self.out_of_order[seq] = payload
+
+    @property
+    def sacked(self) -> int:
+        return sum(self.out_of_order.values())
+
+    def holes(self, limit: int = 16) -> tuple[tuple[int, int], ...]:
+        holes: list[tuple[int, int]] = []
+        cursor = self.rcv_next
+        for seq in sorted(self.out_of_order):
+            if seq > cursor:
+                holes.append((cursor, seq))
+                if len(holes) >= limit:
+                    break
+            cursor = max(cursor, seq + self.out_of_order[seq])
+        return tuple(holes)
+
+
+class _AckCapture:
+    """Stands in for a path: keeps the receiver's callback and its ACKs."""
+
+    def __init__(self) -> None:
+        self.acks: list[Packet] = []
+
+    def on_forward_delivery(self, callback) -> None:
+        self.deliver = callback
+
+    def send_reverse(self, packet: Packet) -> None:
+        self.acks.append(packet)
+
+
+def _segment(seq: int, payload: int) -> Packet:
+    return Packet(1, DATA, payload + 52, seq=seq, meta={"payload": payload, "ts": 0.0})
+
+
+@st.composite
+def _arrivals(draw):
+    """A transfer cut into MSS segments (the last one possibly short) and a
+    random arrival order with losses, duplicates and retransmissions."""
+    transfer = draw(st.integers(1, 60)) * MSS - draw(st.integers(0, MSS - 1))
+    segments = [(seq, min(MSS, transfer - seq)) for seq in range(0, transfer, MSS)]
+    order = draw(st.lists(st.sampled_from(segments), max_size=3 * len(segments)))
+    if draw(st.booleans()):  # finish with a full repair pass
+        order += draw(st.permutations(segments))
+    return order
+
+
+class TestReceiverScoreboard:
+    @settings(max_examples=200, deadline=None)
+    @given(_arrivals(), st.integers(1, 20))
+    def test_runs_match_sorted_oracle(self, order, limit):
+        path = _AckCapture()
+        receiver = TcpReceiver(Simulator(), path, flow_id=1)
+        oracle = _OracleScoreboard()
+        for seq, payload in order:
+            path.deliver(_segment(seq, payload))
+            oracle.receive(seq, payload)
+            meta = path.acks[-1].meta
+            assert meta["ack"] == oracle.rcv_next
+            assert meta["sacked"] == oracle.sacked
+            assert meta["holes"] == oracle.holes()
+            assert receiver._holes(limit) == oracle.holes(limit)
+
+    def test_adjacent_segments_merge_into_one_run(self):
+        path = _AckCapture()
+        receiver = TcpReceiver(Simulator(), path, flow_id=1)
+        for seq in (3 * MSS, 5 * MSS, 4 * MSS, 4 * MSS):
+            path.deliver(_segment(seq, MSS))
+        assert receiver._run_starts == [3 * MSS]
+        assert receiver._run_ends == [6 * MSS]
+        assert receiver.sacked_bytes == 3 * MSS
+        assert path.acks[-1].meta["holes"] == ((0, 3 * MSS),)
+        path.deliver(_segment(0, 3 * MSS))
+        assert receiver.rcv_next == 6 * MSS
+        assert receiver.sacked_bytes == 0
+        assert path.acks[-1].meta["holes"] == ()

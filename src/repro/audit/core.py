@@ -20,9 +20,10 @@ An :class:`Auditor` carries three cooperating mechanisms:
   (experiment, seed) and byte-identical across serial and parallel
   campaigns.
 
-The enable/disable machinery mirrors ``repro.trace``/``repro.metrics``:
-a module-level install stack, a :data:`NULL_AUDITOR` whose every hook is
-a no-op, and components capturing :func:`current` once at construction.
+The enable/disable machinery is shared with ``repro.trace``/``repro.metrics``
+(:mod:`repro.core.ambient`): a module-level install stack, a
+:data:`NULL_AUDITOR` whose every hook is a no-op, and components capturing
+:func:`current` once at construction.
 The campaign runner installs a fresh per-run auditor by default
 (``REPRO_NO_AUDIT=1`` opts out), checkpoints it at run end, and exports
 the ledger totals as ``audit.*`` KPIs through ``repro.metrics``.
@@ -32,8 +33,10 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
+
+from repro.core.ambient import Ambient, RingBuffer, freeze_args
 
 __all__ = [
     "AuditError",
@@ -64,11 +67,6 @@ _MAX_VIOLATIONS = 256
 def audits_enabled() -> bool:
     """Whether the campaign runner should install per-run auditors."""
     return os.environ.get(NO_AUDIT_ENV, "") != "1"
-
-
-def _freeze_args(args: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
-    """Sort attributes so record equality and exports are order-independent."""
-    return tuple(sorted(args.items()))
 
 
 @dataclass(frozen=True)
@@ -105,17 +103,13 @@ class AuditError(RuntimeError):
         self.dump_path = dump_path
 
 
-class Auditor:
+class Auditor(RingBuffer):
     """Collects audit events into a bounded ring; see the module docstring."""
 
     enabled = True
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._ring: list[AuditEvent] = []
-        self._head = 0  # next overwrite position once the ring is full
+        super().__init__(capacity)
         self._notes_emitted = 0
         self._violations_emitted = 0
         self._checks = 0
@@ -125,23 +119,15 @@ class Auditor:
 
     # ------------------------------------------------------------------ emit
 
-    def _append(self, event: AuditEvent) -> None:
-        ring = self._ring
-        if len(ring) < self.capacity:
-            ring.append(event)
-        else:
-            ring[self._head] = event
-            self._head = (self._head + 1) % self.capacity
-
     def note(self, name: str, time_s: float, **args: Any) -> None:
         """Record an informational flight-recorder event."""
         self._notes_emitted += 1
-        self._append(AuditEvent(name, time_s, "note", _freeze_args(args)))
+        self._append(AuditEvent(name, time_s, "note", freeze_args(args)))
 
     def flag(self, name: str, time_s: float, **args: Any) -> None:
         """Record a violation: the invariant named ``name`` does not hold."""
         self._violations_emitted += 1
-        event = AuditEvent(name, time_s, "violation", _freeze_args(args))
+        event = AuditEvent(name, time_s, "violation", freeze_args(args))
         self._append(event)
         if len(self._violations) < _MAX_VIOLATIONS:
             self._violations.append(event)
@@ -243,13 +229,6 @@ class Auditor:
 
     # ----------------------------------------------------------------- query
 
-    def records(self) -> list[AuditEvent]:
-        """All retained events in emission order (oldest first)."""
-        ring = self._ring
-        if len(ring) < self.capacity:
-            return list(ring)
-        return ring[self._head:] + ring[:self._head]
-
     def violations(self) -> list[AuditEvent]:
         """Retained violations in emission order (never ring-evicted)."""
         return list(self._violations)
@@ -276,8 +255,7 @@ class Auditor:
 
     def clear(self) -> None:
         """Drop retained events and reset counts (watches stay registered)."""
-        self._ring.clear()
-        self._head = 0
+        super().clear()
         self._notes_emitted = 0
         self._violations_emitted = 0
         self._checks = 0
@@ -344,33 +322,13 @@ class NullAuditor:
 
 NULL_AUDITOR = NullAuditor()
 
-# Stack of installed auditors; the top is what `current()` returns.  A
-# stack (rather than a single slot) lets tests nest `auditing()` blocks.
-_installed: list[Any] = [NULL_AUDITOR]
+_stack = Ambient(NULL_AUDITOR, "auditor")
+current = _stack.current
+install = _stack.install
+uninstall = _stack.uninstall
 
 
-def current() -> Auditor | NullAuditor:
-    """The active auditor (:data:`NULL_AUDITOR` when auditing is disabled)."""
-    return _installed[-1]
-
-
-def install(auditor: Auditor) -> Auditor:
-    """Make ``auditor`` the active auditor until :func:`uninstall`."""
-    _installed.append(auditor)
-    return auditor
-
-
-def uninstall(auditor: Auditor | None = None) -> None:
-    """Pop the active auditor (validating it is ``auditor`` when given)."""
-    if len(_installed) == 1:
-        raise RuntimeError("no auditor installed")
-    if auditor is not None and _installed[-1] is not auditor:
-        raise RuntimeError("uninstall out of order: a different auditor is active")
-    _installed.pop()
-
-
-@dataclass
-class auditing:
+def auditing(auditor: Auditor | None = None, capacity: int = DEFAULT_CAPACITY):
     """Context manager installing an auditor for the duration of a block.
 
     Example:
@@ -378,14 +336,4 @@ class auditing:
         ...     current() is auditor
         True
     """
-
-    auditor: Auditor | None = None
-    capacity: int = DEFAULT_CAPACITY
-    _active: Auditor = field(init=False, repr=False)
-
-    def __enter__(self) -> Auditor:
-        self._active = self.auditor if self.auditor is not None else Auditor(self.capacity)
-        return install(self._active)
-
-    def __exit__(self, *exc: Any) -> None:
-        uninstall(self._active)
+    return _stack.installed(auditor if auditor is not None else Auditor(capacity))

@@ -20,10 +20,11 @@ into exactly the snapshot a serial campaign produces, regardless of
 completion order.  Duplicate origins must carry identical parts (the same
 run observed twice); conflicting duplicates raise.
 
-Experiments record through the module-level stack (mirroring
-``repro.trace``): :func:`install` / :func:`uninstall` / :func:`current` /
-:func:`collecting`.  When nothing is installed, :data:`NULL_REGISTRY`
-absorbs all recording at the cost of one no-op call.
+Experiments record through the module-level stack shared with
+``repro.trace`` (:mod:`repro.core.ambient`): :func:`install` /
+:func:`uninstall` / :func:`current` / :func:`collecting`.  When nothing
+is installed, :data:`NULL_REGISTRY` absorbs all recording at the cost of
+one no-op call.
 
 Metric names must match ``[a-z0-9_.]+`` — the REP006 lint rule further
 requires a unit suffix from ``repro.core.units.UNIT_DIMENSIONS`` (or
@@ -35,6 +36,7 @@ from __future__ import annotations
 import re
 from typing import Any
 
+from repro.core.ambient import Ambient
 from repro.metrics.sketches import (
     DEFAULT_RESERVOIR_K,
     FixedHistogram,
@@ -415,31 +417,13 @@ class NullRegistry:
 
 NULL_REGISTRY = NullRegistry()
 
-# Stack of installed registries; the top is what `current()` returns.
-_installed: list[Any] = [NULL_REGISTRY]
+_stack = Ambient(NULL_REGISTRY, "metric registry")
+current = _stack.current
+install = _stack.install
+uninstall = _stack.uninstall
 
 
-def current() -> MetricRegistry | NullRegistry:
-    """The active registry (:data:`NULL_REGISTRY` when none is installed)."""
-    return _installed[-1]
-
-
-def install(registry: MetricRegistry) -> MetricRegistry:
-    """Make ``registry`` the active recording target until :func:`uninstall`."""
-    _installed.append(registry)
-    return registry
-
-
-def uninstall(registry: MetricRegistry | None = None) -> None:
-    """Pop the active registry (validating it is ``registry`` when given)."""
-    if len(_installed) == 1:
-        raise RuntimeError("no metric registry installed")
-    if registry is not None and _installed[-1] is not registry:
-        raise RuntimeError("uninstall out of order: a different registry is active")
-    _installed.pop()
-
-
-class collecting:
+def collecting(registry: MetricRegistry | None = None, origin: str = ""):
     """Context manager installing a registry for the duration of a block.
 
     Example:
@@ -447,12 +431,4 @@ class collecting:
         ...     current() is registry
         True
     """
-
-    def __init__(self, registry: MetricRegistry | None = None, origin: str = "") -> None:
-        self._registry = registry if registry is not None else MetricRegistry(origin=origin)
-
-    def __enter__(self) -> MetricRegistry:
-        return install(self._registry)
-
-    def __exit__(self, *exc: Any) -> None:
-        uninstall(self._registry)
+    return _stack.installed(registry if registry is not None else MetricRegistry(origin=origin))

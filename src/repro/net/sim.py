@@ -144,11 +144,8 @@ class Simulator:
         auditing are decided once per ``run()`` call, so with both disabled
         the hot path is identical to the uninstrumented loop.
         """
-        if self.auditor.enabled:
-            self._run_audited(until)
-            return
-        if self.tracer.enabled:
-            self._run_traced(until)
+        if self.auditor.enabled or self.tracer.enabled:
+            self._run_instrumented(until)
             return
         global _total_executed
         heap = self._heap
@@ -169,41 +166,15 @@ class Simulator:
         if until is not None and self.now < until:
             self.now = until
 
-    def _run_traced(self, until: float | None) -> None:
-        """The ``run`` loop with dispatch spans and a queue-depth counter."""
-        global _total_executed
-        heap = self._heap
-        tracer = self.tracer
-        while heap:
-            event = heap[0]
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(heap)
-            if event.cancelled:
-                continue
-            event.sim = None
-            self._pending -= 1
-            self.events_executed += 1
-            _total_executed += 1
-            self.now = event.time
-            callback = event.callback
-            callback(*event.args)
-            # __qualname__ keeps the label deterministic; repr() of a bound
-            # method or partial would embed a memory address.
-            label = getattr(callback, "__qualname__", None) or type(callback).__name__
-            tracer.complete("sim.dispatch", event.time, self.now, callback=label)
-            tracer.counter("sim.queue_depth", self.now, float(self._pending))
-        if until is not None and self.now < until:
-            self.now = until
-
-    def _run_audited(self, until: float | None) -> None:
-        """The ``run`` loop with a virtual-time monotonicity probe.
+    def _run_instrumented(self, until: float | None) -> None:
+        """The ``run`` loop with a virtual-time probe and dispatch tracing.
 
         ``schedule()`` rejects negative delays, so a dispatch time behind
         ``now`` can only come from a future bookkeeping regression (heap
         corruption, a mutated ``Event.time``); the probe turns that from
-        silent causality violation into a flagged audit event.  Tracing,
-        when also active, emits the same records as :meth:`_run_traced`.
+        silent causality violation into a flagged audit event (a no-op on
+        the null auditor).  When tracing is active, each dispatch emits a
+        ``sim.dispatch`` span and a ``sim.queue_depth`` counter sample.
         """
         global _total_executed
         heap = self._heap
@@ -234,6 +205,8 @@ class Simulator:
             callback = event.callback
             callback(*event.args)
             if traced:
+                # __qualname__ keeps the label deterministic; repr() of a bound
+                # method or partial would embed a memory address.
                 label = getattr(callback, "__qualname__", None) or type(callback).__name__
                 tracer.complete("sim.dispatch", event.time, self.now, callback=label)
                 tracer.counter("sim.queue_depth", self.now, float(self._pending))

@@ -157,11 +157,12 @@ def instrumented_call(
     ledgers at construction, residuals are asserted at the run-end
     checkpoint, and ``audit.*`` KPIs are exported into the run's metric
     registry.  A probe violation raises :class:`repro.audit.AuditError`
-    (the run *fails*); when the run raises — for any reason — the flight
-    recorder is dumped under ``$REPRO_AUDIT_DIR`` (if set) and a failure
-    :class:`RunRecord` plus the dump path are attached to the exception
-    for post-hoc debugging.  ``$REPRO_AUDIT_DUMP`` dumps every run,
-    violating or not (the determinism gate in CI).
+    (the run *fails*).  When the run raises — for any reason, audited or
+    not — a failure :class:`RunRecord` is attached to the exception for
+    post-hoc debugging, plus the path of the flight recorder dumped under
+    ``$REPRO_AUDIT_DIR`` when an auditor ran and that variable is set.
+    ``$REPRO_AUDIT_DUMP`` dumps every run, violating or not (the
+    determinism gate in CI).
     """
     sim_before = sim.global_counters()
     rng_before = rng.streams_drawn()
@@ -205,6 +206,19 @@ def instrumented_call(
             audit_dump_path=audit_dump_path,
         )
 
+    def attach_failure(error: Exception, wall: float, dump_path: str) -> None:
+        # Best-effort attach for post-hoc debugging; an exception type
+        # with __slots__ simply travels without the extras.
+        try:
+            error.audit_dump_path = dump_path
+            error.run_record = make_record(
+                wall,
+                failure_traceback=traceback_module.format_exc(),
+                audit_dump_path=dump_path,
+            )
+        except Exception:
+            pass
+
     try:
         if collector is not None:
             result, profile_top = profiling.profiled_call(experiment, collector, fn)
@@ -213,26 +227,16 @@ def instrumented_call(
             profile_top = None
     except Exception as exc:
         profile_top = None
+        dump_path = ""
         if auditor is not None:
             auditor.note(
                 "audit.run.exception_count", 0.0, experiment=experiment,
                 error=type(exc).__name__,
             )
             dump_dir = os.environ.get("REPRO_AUDIT_DIR", "")
-            dump_path = (
-                _audit_dump(auditor, experiment, seed, dump_dir) if dump_dir else ""
-            )
-            # Best-effort attach for post-hoc debugging; an exception type
-            # with __slots__ simply travels without the extras.
-            try:
-                exc.audit_dump_path = dump_path
-                exc.run_record = make_record(
-                    time.perf_counter() - started,
-                    failure_traceback=traceback_module.format_exc(),
-                    audit_dump_path=dump_path,
-                )
-            except Exception:
-                pass
+            if dump_dir:
+                dump_path = _audit_dump(auditor, experiment, seed, dump_dir)
+        attach_failure(exc, time.perf_counter() - started, dump_path)
         raise
     finally:
         wall = time.perf_counter() - started
@@ -251,15 +255,7 @@ def instrumented_call(
             try:
                 auditor.assert_clean(f"{experiment} seed {seed}", dump_path)
             except audit.AuditError as error:
-                try:
-                    error.audit_dump_path = dump_path
-                    error.run_record = make_record(
-                        wall,
-                        failure_traceback=traceback_module.format_exc(),
-                        audit_dump_path=dump_path,
-                    )
-                except Exception:
-                    pass
+                attach_failure(error, wall, dump_path)
                 raise
         auditor.export_kpis(registry)
     record = make_record(wall)

@@ -9,7 +9,8 @@ dump one combined ``pstats`` file for the whole campaign.
 
 Profiling forces a serial, cache-bypassing campaign (like ``--trace``):
 cProfile state is per-process and a cache hit would profile nothing.
-The install stack mirrors ``repro.trace`` so nesting in tests is safe.
+The install stack is the :class:`repro.core.ambient.Ambient` that
+``repro.trace`` uses too, so nesting in tests is safe.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import cProfile
 import pstats
 from typing import Any
 
+from repro.core.ambient import Ambient
 from repro.core.results import ResultTable
 
 __all__ = [
@@ -117,28 +119,11 @@ class ProfileCollector:
         return table
 
 
-# Stack of installed collectors; the top is what `active()` returns.
-_installed: list[ProfileCollector] = []
-
-
-def active() -> ProfileCollector | None:
-    """The collector profiled runs should report to, if any."""
-    return _installed[-1] if _installed else None
-
-
-def install(collector: ProfileCollector) -> ProfileCollector:
-    """Make ``collector`` the active profiling sink until :func:`uninstall`."""
-    _installed.append(collector)
-    return collector
-
-
-def uninstall(collector: ProfileCollector | None = None) -> None:
-    """Pop the active collector (validating it is ``collector`` when given)."""
-    if not _installed:
-        raise RuntimeError("no profile collector installed")
-    if collector is not None and _installed[-1] is not collector:
-        raise RuntimeError("uninstall out of order: a different collector is active")
-    _installed.pop()
+# `active()` is the collector profiled runs report to, or None.
+_stack = Ambient(None, "profile collector")
+active = _stack.current
+install = _stack.install
+uninstall = _stack.uninstall
 
 
 def profiled_call(experiment: str, collector: ProfileCollector, fn):

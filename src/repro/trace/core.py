@@ -23,8 +23,10 @@ loop entry, not per event (see ``Simulator.run``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, NamedTuple
+
+from repro.core.ambient import Ambient, RingBuffer, freeze_args
 
 __all__ = [
     "CounterRecord",
@@ -88,11 +90,6 @@ class TraceStats(NamedTuple):
     dropped: int
 
 
-def _freeze_args(args: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
-    """Sort attributes so record equality and exports are order-independent."""
-    return tuple(sorted(args.items()))
-
-
 class SpanHandle:
     """An open span returned by :meth:`Tracer.begin`; close with :meth:`end`.
 
@@ -142,69 +139,28 @@ class _SpanContext:
         self._tracer.complete(self._name, self._begin_s, float(self._clock()), **self._args)
 
 
-class Tracer:
+class Tracer(RingBuffer):
     """Collects trace records into a bounded ring buffer.
 
-    The buffer is a plain list used as a ring: O(1) append, O(1) overwrite
-    once full, and the oldest records are evicted first.  All query methods
-    return records in emission order.
+    All query methods return records in emission order; once the ring is
+    full the oldest records are evicted first.
     """
 
     enabled = True
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._ring: list[Any] = []
-        self._head = 0  # next overwrite position once the ring is full
+        super().__init__(capacity)
         self._spans_emitted = 0
         self._instants_emitted = 0
         self._counter_samples_emitted = 0
         self._counter_index: dict[str, int] = {}
         self._counter_totals: dict[str, float] = {}
-        self._metrics_sink: Any = None
-        self._metric_prefix = "trace"
-        self._metric_names: dict[str, str] = {}
-
-    def feed_metrics(self, registry: Any, prefix: str = "trace") -> None:
-        """Mirror counter samples into a metric registry's quantile sketches.
-
-        ``registry`` is duck-typed: anything whose ``quantile(name)``
-        returns an object with ``observe(value)`` works — a
-        :class:`repro.metrics.MetricRegistry`, the null registry, or a
-        test double.  Unlike the bounded ring buffer, the sketches never
-        evict, so long counter series keep their full distribution.
-        Counter names are mapped to ``<prefix>.<name>`` with characters
-        outside ``[a-z0-9_.]`` folded to ``_``.  Pass ``None`` to detach.
-        """
-        self._metrics_sink = registry
-        self._metric_names.clear()
-        if registry is not None:
-            self._metric_prefix = prefix
-
-    def _metric_name(self, name: str) -> str:
-        cached = self._metric_names.get(name)
-        if cached is None:
-            from repro.metrics.core import fold_metric_name
-
-            cached = fold_metric_name(name, prefix=self._metric_prefix)
-            self._metric_names[name] = cached
-        return cached
 
     # ------------------------------------------------------------------ emit
-    def _append(self, record: Any) -> None:
-        ring = self._ring
-        if len(ring) < self.capacity:
-            ring.append(record)
-        else:
-            ring[self._head] = record
-            self._head = (self._head + 1) % self.capacity
-
     def complete(self, name: str, begin_s: float, end_s: float, **args: Any) -> None:
         """Record a finished span ``[begin_s, end_s]``."""
         self._spans_emitted += 1
-        self._append(SpanRecord(name, begin_s, end_s, _freeze_args(args)))
+        self._append(SpanRecord(name, begin_s, end_s, freeze_args(args)))
 
     def begin(self, name: str, begin_s: float, **args: Any) -> SpanHandle:
         """Open a span; the caller must ``end()`` the returned handle."""
@@ -223,7 +179,7 @@ class Tracer:
     def instant(self, name: str, time_s: float, **args: Any) -> None:
         """Record a point event."""
         self._instants_emitted += 1
-        self._append(InstantRecord(name, time_s, _freeze_args(args)))
+        self._append(InstantRecord(name, time_s, freeze_args(args)))
 
     def counter(self, name: str, time_s: float | None, value: float) -> None:
         """Sample a counter series.
@@ -237,9 +193,6 @@ class Tracer:
             time_s = float(index)
         self._counter_samples_emitted += 1
         self._append(CounterRecord(name, time_s, float(value)))
-        sink = self._metrics_sink
-        if sink is not None:
-            sink.quantile(self._metric_name(name)).observe(float(value))
 
     def bump(self, name: str, time_s: float | None, delta: float = 1.0) -> None:
         """Increment a monotone counter by ``delta`` and sample the new total."""
@@ -248,13 +201,6 @@ class Tracer:
         self.counter(name, time_s, total)
 
     # ----------------------------------------------------------------- query
-    def records(self) -> list[Any]:
-        """All retained records in emission order (oldest first)."""
-        ring = self._ring
-        if len(ring) < self.capacity:
-            return list(ring)
-        return ring[self._head :] + ring[: self._head]
-
     def spans(self, name: str | None = None, prefix: str | None = None) -> list[SpanRecord]:
         """Retained spans, optionally filtered by exact ``name`` or ``prefix``."""
         out = [r for r in self.records() if type(r) is SpanRecord]
@@ -300,8 +246,7 @@ class Tracer:
 
     def clear(self) -> None:
         """Drop all retained records and reset emission counts."""
-        self._ring.clear()
-        self._head = 0
+        super().clear()
         self._spans_emitted = 0
         self._instants_emitted = 0
         self._counter_samples_emitted = 0
@@ -320,9 +265,6 @@ class NullTracer:
     enabled = False
 
     __slots__ = ()
-
-    def feed_metrics(self, registry: Any, prefix: str = "trace") -> None:
-        pass
 
     def complete(self, name: str, begin_s: float, end_s: float, **args: Any) -> None:
         pass
@@ -388,33 +330,13 @@ NULL_TRACER = NullTracer()
 _NULL_HANDLE = _NullSpanHandle()
 _NULL_CONTEXT = _NullSpanContext()
 
-# Stack of installed tracers; the top is what `current()` returns.  A stack
-# (rather than a single slot) lets tests nest `tracing()` blocks safely.
-_installed: list[Any] = [NULL_TRACER]
+_stack = Ambient(NULL_TRACER, "tracer")
+current = _stack.current
+install = _stack.install
+uninstall = _stack.uninstall
 
 
-def current() -> Tracer | NullTracer:
-    """The active tracer (:data:`NULL_TRACER` when tracing is disabled)."""
-    return _installed[-1]
-
-
-def install(tracer: Tracer) -> Tracer:
-    """Make ``tracer`` the active tracer until :func:`uninstall`."""
-    _installed.append(tracer)
-    return tracer
-
-
-def uninstall(tracer: Tracer | None = None) -> None:
-    """Pop the active tracer (validating it is ``tracer`` when given)."""
-    if len(_installed) == 1:
-        raise RuntimeError("no tracer installed")
-    if tracer is not None and _installed[-1] is not tracer:
-        raise RuntimeError("uninstall out of order: a different tracer is active")
-    _installed.pop()
-
-
-@dataclass
-class tracing:
+def tracing(tracer: Tracer | None = None, capacity: int = DEFAULT_CAPACITY):
     """Context manager installing a tracer for the duration of a block.
 
     Example:
@@ -422,14 +344,4 @@ class tracing:
         ...     current() is tracer
         True
     """
-
-    tracer: Tracer | None = None
-    capacity: int = DEFAULT_CAPACITY
-    _active: Tracer = field(init=False, repr=False)
-
-    def __enter__(self) -> Tracer:
-        self._active = self.tracer if self.tracer is not None else Tracer(self.capacity)
-        return install(self._active)
-
-    def __exit__(self, *exc: Any) -> None:
-        uninstall(self._active)
+    return _stack.installed(tracer if tracer is not None else Tracer(capacity))

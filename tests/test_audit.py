@@ -18,13 +18,10 @@ from repro.audit import (
     Auditor,
     auditing,
     audits_enabled,
-    current,
     diff_audits,
     dump_basename,
-    install,
     load_audit,
     summary_table,
-    uninstall,
     violations_table,
     write_jsonl,
 )
@@ -136,27 +133,8 @@ class TestAuditorCore:
 
 class TestInstallStack:
     def test_default_is_null_auditor(self):
-        assert current() is NULL_AUDITOR
-        assert not current().enabled
-        assert current().probe("audit.x.bounds_pkts", False, 0.0) is False
-        assert current().checkpoint("end") == {}
-
-    def test_install_uninstall_validation(self):
-        auditor = install(Auditor())
-        assert current() is auditor
-        with pytest.raises(RuntimeError, match="different auditor"):
-            uninstall(Auditor())
-        uninstall(auditor)
-        assert current() is NULL_AUDITOR
-        with pytest.raises(RuntimeError, match="no auditor installed"):
-            uninstall()
-
-    def test_auditing_context_nests(self):
-        with auditing() as outer:
-            with auditing() as inner:
-                assert current() is inner
-            assert current() is outer
-        assert current() is NULL_AUDITOR
+        assert NULL_AUDITOR.probe("audit.x.bounds_pkts", False, 0.0) is False
+        assert NULL_AUDITOR.checkpoint("end") == {}
 
     def test_audits_enabled_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)

@@ -224,15 +224,25 @@ class TestSimulatorTracing:
         assert not Simulator().tracer.enabled
 
     def test_traced_run_records_dispatch_spans_and_queue_depth(self):
+        from contextlib import nullcontext
+
+        from repro.audit import auditing
         from repro.trace import Tracer, tracing
 
-        with tracing(Tracer()) as tracer:
-            sim = Simulator()
-            order = []
-            sim.schedule(1.0, order.append, "a")
-            sim.schedule(2.0, order.append, "b")
-            sim.run()
-        assert order == ["a", "b"]
+        def traced(audited):
+            # Tracing alone and tracing under an auditor share one run loop;
+            # both must emit the same records.
+            with tracing(Tracer()) as tracer, auditing() if audited else nullcontext():
+                sim = Simulator()
+                order = []
+                sim.schedule(1.0, order.append, "a")
+                sim.schedule(2.0, order.append, "b")
+                sim.run()
+            assert order == ["a", "b"]
+            return tracer
+
+        tracer = traced(audited=False)
+        assert traced(audited=True).records() == tracer.records()
         spans = tracer.spans(name="sim.dispatch")
         assert [s.begin_s for s in spans] == [1.0, 2.0]
         assert all(dict(s.args)["callback"] == "list.append" for s in spans)
@@ -256,6 +266,28 @@ class TestSimulatorTracing:
         with tracing(Tracer()):
             traced = drive(Simulator())
         assert plain == traced
+
+
+class TestSimulatorAudit:
+    def test_time_regression_probe_flags_a_mutated_event_time(self):
+        from repro.audit import auditing
+
+        with auditing() as auditor:
+            sim = Simulator()
+            fired = []
+            late = sim.schedule(2.0, fired.append, "late")
+
+            def rewind():
+                late.time = 0.25  # a queued event moved behind `now`
+
+            sim.schedule(1.5, rewind)
+            sim.run()
+        assert fired == ["late"]
+        assert auditor.violation_count == 1
+        (violation,) = auditor.violations()
+        assert violation.name == "audit.sim.time_regression_s"
+        assert violation.time_s == 0.25
+        assert dict(violation.args) == {"regression_s": 1.25}
 
 
 class TestDropTailQueue:

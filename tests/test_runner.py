@@ -187,6 +187,24 @@ class TestInstrumentation:
         assert record.peak_rss_kib > 0
         assert 0 <= record.rss_growth_kib <= record.peak_rss_kib
 
+    @pytest.mark.parametrize("audited", [False, True], ids=["audit-off", "audit-on"])
+    def test_failed_run_attaches_a_failure_record(self, monkeypatch, audited):
+        if audited:
+            monkeypatch.delenv("REPRO_NO_AUDIT", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NO_AUDIT", "1")
+        monkeypatch.delenv("REPRO_AUDIT_DIR", raising=False)
+
+        def explode():
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError) as excinfo:
+            instrumented_call("job", 3, explode)
+        record = excinfo.value.run_record
+        assert (record.experiment, record.seed) == ("job", 3)
+        assert "ValueError: boom" in record.failure_traceback
+        assert record.audit_dump_path == excinfo.value.audit_dump_path == ""
+
     def test_trace_summary_absent_without_tracer(self):
         _, record = instrumented_call("job", 3, lambda: None)
         assert record.trace_summary is None
@@ -316,18 +334,6 @@ class TestProfiling:
         assert len(rows) <= 5
         for row in rows:
             assert {"function", "ncalls", "tottime_s", "cumtime_s"} <= set(row)
-
-    def test_install_stack_mirrors_trace(self):
-        from repro.runner import ProfileCollector
-        from repro.runner import profiling
-
-        assert profiling.active() is None
-        collector = profiling.install(ProfileCollector())
-        assert profiling.active() is collector
-        with pytest.raises(RuntimeError, match="different collector"):
-            profiling.uninstall(ProfileCollector())
-        profiling.uninstall(collector)
-        assert profiling.active() is None
 
     def test_empty_collector_refuses_dump(self, tmp_path):
         from repro.runner import ProfileCollector

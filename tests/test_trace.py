@@ -1,4 +1,4 @@
-"""Tests for repro.trace: recording, install stack, exporters, analysis.
+"""Tests for repro.trace: recording, exporters, analysis.
 
 The integration tests at the bottom pin the contract the subsystem
 exists for: traces are a pure function of (experiment, seed) — two runs
@@ -15,9 +15,7 @@ from repro.trace import (
     NullTracer,
     TraceStats,
     Tracer,
-    current,
     diff_traces,
-    install,
     load_trace,
     summarize,
     summary_dict,
@@ -25,7 +23,6 @@ from repro.trace import (
     to_chrome,
     to_jsonl_lines,
     tracing,
-    uninstall,
     write_chrome,
     write_jsonl,
 )
@@ -129,43 +126,6 @@ class TestTracerRecording:
         assert tracer.stats() == TraceStats(0, 0, 0, 0, 0)
         tracer.counter("c", None, 2.0)  # per-series index restarted
         assert tracer.counter_series("c") == [(0.0, 2.0)]
-
-
-class TestInstallStack:
-    def test_default_is_null_tracer(self):
-        assert current() is NULL_TRACER
-        assert not current().enabled
-
-    def test_install_uninstall(self):
-        tracer = Tracer()
-        assert install(tracer) is tracer
-        try:
-            assert current() is tracer
-        finally:
-            uninstall(tracer)
-        assert current() is NULL_TRACER
-
-    def test_tracing_context_manager_nests(self):
-        with tracing() as outer:
-            assert current() is outer
-            with tracing(Tracer(capacity=8)) as inner:
-                assert current() is inner
-                assert inner.capacity == 8
-            assert current() is outer
-        assert current() is NULL_TRACER
-
-    def test_uninstall_requires_matching_tracer(self):
-        a, b = Tracer(), Tracer()
-        install(a)
-        try:
-            with pytest.raises(RuntimeError, match="out of order"):
-                uninstall(b)
-        finally:
-            uninstall(a)
-
-    def test_uninstall_with_nothing_installed_raises(self):
-        with pytest.raises(RuntimeError, match="no tracer installed"):
-            uninstall()
 
 
 class TestNullTracer:
@@ -405,52 +365,3 @@ class TestLoadFailures:
         with pytest.raises(ValueError, match="truncated or malformed"):
             load_trace(str(path))
 
-
-class TestMetricsBridge:
-    """Tracer.feed_metrics mirrors counter samples into quantile sketches."""
-
-    def test_counter_samples_flow_into_registry(self):
-        from repro.metrics import MetricRegistry
-
-        tracer = Tracer()
-        registry = MetricRegistry(origin="t")
-        tracer.feed_metrics(registry)
-        for value in (1.0, 2.0, 3.0):
-            tracer.counter("link.mcs_index", value, value)
-        sketch = registry.get("trace.link.mcs_index")
-        assert sketch.count == 3
-        assert sketch.mean == pytest.approx(2.0)
-
-    def test_names_are_sanitized_to_metric_charset(self):
-        from repro.metrics import MetricRegistry
-
-        tracer = Tracer()
-        registry = MetricRegistry(origin="t")
-        tracer.feed_metrics(registry, prefix="trace")
-        tracer.counter("HO Latency:5G-5G", 0.0, 7.0)
-        assert registry.names() == ["trace.ho_latency_5g_5g"]
-
-    def test_detach_stops_mirroring(self):
-        from repro.metrics import MetricRegistry
-
-        tracer = Tracer()
-        registry = MetricRegistry(origin="t")
-        tracer.feed_metrics(registry)
-        tracer.counter("x", 0.0, 1.0)
-        tracer.feed_metrics(None)
-        tracer.counter("x", 1.0, 2.0)
-        assert registry.get("trace.x").count == 1
-
-    def test_bridge_survives_ring_eviction(self):
-        from repro.metrics import MetricRegistry
-
-        tracer = Tracer(capacity=4)
-        registry = MetricRegistry(origin="t")
-        tracer.feed_metrics(registry)
-        for i in range(100):
-            tracer.counter("x", float(i), float(i))
-        assert len(tracer.records()) == 4
-        assert registry.get("trace.x").count == 100
-
-    def test_null_tracer_accepts_feed_metrics(self):
-        NULL_TRACER.feed_metrics(None)

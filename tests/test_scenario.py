@@ -58,6 +58,18 @@ TCP_DES_RUNS = {
     "remedy-comparison": {"duration_s": 3, "variants": ("droptail", "codel", "pep")},
 }
 
+UDP_DES_GOLDEN = REPO_ROOT / "tests" / "data" / "golden" / "udp_des_seed7.json"
+
+#: Cut-down packet-DES runs pinned by ``UDP_DES_GOLDEN``: CBR UDP through
+#: the link hop and its drop-tail drop path (fig9, fig11), and BBR across a
+#: hand-off outage, which drives ``Link.pause``/``resume`` and
+#: ``Simulator.schedule_at`` (fig12).
+UDP_DES_RUNS = {
+    "fig9": {"duration_s": 2},
+    "fig11": {"duration_s": 6},
+    "fig12": {"repeats": 1, "scale": 0.02},
+}
+
 
 def _pin_field(value):
     """Long traces are pinned by length and SHA-256, everything else verbatim."""
@@ -67,14 +79,14 @@ def _pin_field(value):
     return value
 
 
-def render_tcp_des_golden() -> bytes:
-    """Canonical rendering of the ``TCP_DES_RUNS`` results at seed 7."""
+def render_des_golden(runs: dict[str, dict]) -> bytes:
+    """Canonical rendering of cut-down experiment ``runs`` at seed 7."""
     payload = {
         name: {
             key: _pin_field(value)
             for key, value in _to_jsonable(EXPERIMENTS[name].run(seed=7, **params)).items()
         }
-        for name, params in TCP_DES_RUNS.items()
+        for name, params in runs.items()
     }
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
@@ -97,7 +109,13 @@ class TestGoldenByteIdentity:
         """The packet DES safety net: TCP (Cubic, BBR, SACK repair, AQM and
         the PEP relay) must reproduce the results captured before the
         transport hot-path rewrite, byte for byte."""
-        assert render_tcp_des_golden() == TCP_DES_GOLDEN.read_bytes()
+        assert render_des_golden(TCP_DES_RUNS) == TCP_DES_GOLDEN.read_bytes()
+
+    def test_udp_des_runs_reproduce_golden_file(self):
+        """The event core and link hop safety net: CBR UDP loss and the
+        hand-off outage path must reproduce the results captured before
+        the tuple-keyed event heap, byte for byte."""
+        assert render_des_golden(UDP_DES_RUNS) == UDP_DES_GOLDEN.read_bytes()
 
     def test_explicit_default_matches_implicit_none(self):
         implicit = _to_jsonable(EXPERIMENTS["tab1"].run(seed=7))

@@ -17,9 +17,9 @@ Run with plain ``pytest benchmarks/test_audit_overhead.py -s`` (these
 tests time themselves and do not use the pytest-benchmark fixture).
 """
 
-import heapq
 import pickle
 import time
+from heapq import heappop
 
 from repro.audit import Auditor, auditing
 from repro.experiments import fig11_bursty_loss
@@ -35,17 +35,15 @@ def _seed_loop(sim, until=None):
     global _replica_executed
     heap = sim._heap
     while heap:
-        event = heap[0]
-        if until is not None and event.time > until:
+        if until is not None and heap[0][0] > until:
             break
-        heapq.heappop(heap)
+        time, _, event = heappop(heap)
         if event.cancelled:
             continue
         event.sim = None
-        sim._pending -= 1
         sim.events_executed += 1
         _replica_executed += 1
-        sim.now = event.time
+        sim.now = time
         event.callback(*event.args)
     if until is not None and sim.now < until:
         sim.now = until

@@ -13,8 +13,8 @@ Run with plain ``pytest benchmarks/test_trace_overhead.py -s`` (these
 tests time themselves and do not use the pytest-benchmark fixture).
 """
 
-import heapq
 import time
+from heapq import heappop
 
 from repro.experiments import fig7_throughput
 from repro.net.sim import Simulator
@@ -30,17 +30,15 @@ def _seed_loop(sim, until=None):
     global _replica_executed
     heap = sim._heap
     while heap:
-        event = heap[0]
-        if until is not None and event.time > until:
+        if until is not None and heap[0][0] > until:
             break
-        heapq.heappop(heap)
+        time, _, event = heappop(heap)
         if event.cancelled:
             continue
         event.sim = None
-        sim._pending -= 1
         sim.events_executed += 1
         _replica_executed += 1
-        sim.now = event.time
+        sim.now = time
         event.callback(*event.args)
     if until is not None and sim.now < until:
         sim.now = until

@@ -122,13 +122,13 @@ class Auditor(RingBuffer):
     def note(self, name: str, time_s: float, **args: Any) -> None:
         """Record an informational flight-recorder event."""
         self._notes_emitted += 1
-        self._append(AuditEvent(name, time_s, "note", freeze_args(args)))
+        self._ring.append(AuditEvent(name, time_s, "note", freeze_args(args)))
 
     def flag(self, name: str, time_s: float, **args: Any) -> None:
         """Record a violation: the invariant named ``name`` does not hold."""
         self._violations_emitted += 1
         event = AuditEvent(name, time_s, "violation", freeze_args(args))
-        self._append(event)
+        self._ring.append(event)
         if len(self._violations) < _MAX_VIOLATIONS:
             self._violations.append(event)
 

@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from typing import Any
@@ -67,33 +68,21 @@ class Ambient:
 class RingBuffer:
     """Records in a bounded ring: once full, each append evicts the oldest.
 
-    The buffer is a plain list used as a ring; :meth:`records` returns
-    the retained records in emission order.
+    The ring is a ``deque`` with ``maxlen``, so an append and the eviction
+    it implies run in C; :meth:`records` returns the retained records in
+    emission order.
     """
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        self._ring: list[Any] = []
-        self._head = 0  # next overwrite position once the ring is full
-
-    def _append(self, record: Any) -> None:
-        ring = self._ring
-        if len(ring) < self.capacity:
-            ring.append(record)
-        else:
-            ring[self._head] = record
-            self._head = (self._head + 1) % self.capacity
+        self._ring: deque[Any] = deque(maxlen=capacity)
 
     def records(self) -> list[Any]:
         """All retained records in emission order (oldest first)."""
-        ring = self._ring
-        if len(ring) < self.capacity:
-            return list(ring)
-        return ring[self._head :] + ring[: self._head]
+        return list(self._ring)
 
     def clear(self) -> None:
         """Drop all retained records."""
         self._ring.clear()
-        self._head = 0

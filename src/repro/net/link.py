@@ -344,13 +344,6 @@ class Link:
         if not self._busy:
             self._transmit_next()
 
-    def current_rate_bps(self) -> float:
-        """Rate available to foreground traffic right now."""
-        rate = self.rate_bps
-        if self.cross_traffic is not None:
-            rate *= 1.0 - self.cross_traffic.load_at(self.sim.now)
-        return rate
-
     def _transmit_next(self) -> None:
         if self.qdisc is not None:
             packet = self.qdisc.dequeue(self.sim.now)
@@ -384,18 +377,30 @@ class Link:
         self._in_transit += 1
         self._in_transit_bytes += packet.size_bytes
         self._busy = True
-        rate = max(self.current_rate_bps(), 1.0)
-        serialization = packet.size_bytes * 8 / rate
-        self.sim.schedule(serialization, self._serialized, packet)
+        # The rate left to foreground traffic, floored at 1 bit/s.  Inline
+        # compares instead of a helper and max(): this runs once per packet.
+        rate = self.rate_bps
+        if self.cross_traffic is not None:
+            rate *= 1.0 - self.cross_traffic.load_at(self.sim.now)
+        if 1.0 > rate:
+            rate = 1.0
+        self.sim.schedule(packet.size_bytes * 8 / rate, self._serialized, packet)
 
     def _serialized(self, packet: Packet) -> None:
+        sim = self.sim
+        now = sim.now
         delay = self.delay_s
         if self.delay_process is not None:
-            delay += self.delay_process.extra_delay_s(self.sim.now)
+            delay += self.delay_process.extra_delay_s(now)
         # FIFO discipline: a falling delay process must not reorder.
-        arrival = max(self.sim.now + delay, self._last_delivery_at + 1e-9)
+        arrival = now + delay
+        earliest = self._last_delivery_at + 1e-9
+        if earliest > arrival:
+            arrival = earliest
         self._last_delivery_at = arrival
-        self.sim.schedule_at(arrival, self._deliver, packet)
+        # schedule_at(arrival) without its call: arrival >= now, so the
+        # delay is never negative and the heap time is the same float.
+        sim.schedule(arrival - now, self._deliver, packet)
         if self._paused:
             self._busy = False
         else:

@@ -3,8 +3,12 @@
 Every network and transport component schedules callbacks on one shared
 :class:`Simulator`.  The design favours raw event throughput — packet-level
 TCP at hundreds of megabits produces millions of events per simulated
-minute — so events are plain heap entries with a cancellation flag rather
-than process objects.
+minute — so events are plain slotted objects with a cancellation flag
+rather than process objects.  The heap holds ``(time, seq, event)``
+tuples, where ``seq`` is the simulator's running count of scheduled
+events.  It is unique, so ``heapq`` orders entries by ``(time, seq)``
+with tuple comparisons in C and never compares two events, and
+equal-time events fire in scheduling order.
 
 Each simulator keeps lightweight event counters (scheduled / executed /
 cancelled), and the module aggregates the same counters across every
@@ -15,8 +19,9 @@ experiment performed without wrapping individual simulators.
 
 from __future__ import annotations
 
-import heapq
+import math
 from collections.abc import Callable
+from heapq import heappop, heappush
 from typing import Any, NamedTuple
 
 from repro.audit import core as audit
@@ -53,17 +58,20 @@ def global_counters() -> SimCounters:
 class Event:
     """A scheduled callback; cancel with :meth:`cancel`."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "sim")
+    __slots__ = ("time", "callback", "args", "cancelled", "sim")
 
     def __init__(
-        self, time: float, seq: int, callback: Callable[..., None], args: tuple[Any, ...]
+        self,
+        time: float,
+        callback: Callable[..., None],
+        args: tuple[Any, ...],
+        sim: "Simulator | None",
     ) -> None:
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self.sim: "Simulator | None" = None
+        self.sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from firing (O(1); removal is lazy)."""
@@ -73,14 +81,8 @@ class Event:
         sim = self.sim
         if sim is not None:
             global _total_cancelled
-            sim._pending -= 1
             sim.events_cancelled += 1
             _total_cancelled += 1
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
 
 class Simulator:
@@ -97,9 +99,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[Event] = []
-        self._seq = 0
-        self._pending = 0
+        self._heap: list[tuple[float, int, Event]] = []
         self.events_scheduled = 0
         self.events_executed = 0
         self.events_cancelled = 0
@@ -110,15 +110,14 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
+        # `not >=` also rejects NaN, which would otherwise fire first.
+        if not delay >= 0:
+            raise ValueError(f"event delay must be a number >= 0, got {delay}")
         global _total_scheduled
-        self._seq += 1
-        event = Event(self.now + delay, self._seq, callback, args)
-        event.sim = self
-        heapq.heappush(self._heap, event)
-        self._pending += 1
-        self.events_scheduled += 1
+        time = self.now + delay
+        self.events_scheduled = seq = self.events_scheduled + 1
+        event = Event(time, callback, args, self)
+        heappush(self._heap, (time, seq, event))
         _total_scheduled += 1
         return event
 
@@ -138,30 +137,31 @@ class Simulator:
         """Run events in order until the heap drains or ``until`` is reached.
 
         With ``until`` set, simulation time always advances exactly to
-        ``until`` even if the heap drains earlier.
+        ``until`` even if the heap drains earlier.  A NaN ``until`` raises
+        ``ValueError``: it would compare false and bound nothing.
 
         The loop is duplicated rather than branching per event: tracing and
         auditing are decided once per ``run()`` call, so with both disabled
         the hot path is identical to the uninstrumented loop.
         """
+        if until is not None and math.isnan(until):
+            raise ValueError("run(until=nan): the bound must be a number")
         if self.auditor.enabled or self.tracer.enabled:
             self._run_instrumented(until)
             return
         global _total_executed
         heap = self._heap
         while heap:
-            event = heap[0]
-            if until is not None and event.time > until:
+            if until is not None and heap[0][0] > until:
                 break
-            heapq.heappop(heap)
+            time, _, event = heappop(heap)
             if event.cancelled:
                 continue
             # Detach so a late cancel() on a fired event cannot skew counters.
             event.sim = None
-            self._pending -= 1
             self.events_executed += 1
             _total_executed += 1
-            self.now = event.time
+            self.now = time
             event.callback(*event.args)
         if until is not None and self.now < until:
             self.now = until
@@ -183,14 +183,12 @@ class Simulator:
         traced = tracer.enabled
         now = self.now  # local mirror: one compare per event, no attr load
         while heap:
-            event = heap[0]
-            if until is not None and event.time > until:
+            if until is not None and heap[0][0] > until:
                 break
-            heapq.heappop(heap)
+            event = heappop(heap)[2]
             if event.cancelled:
                 continue
             event.sim = None
-            self._pending -= 1
             self.events_executed += 1
             _total_executed += 1
             etime = event.time
@@ -209,7 +207,8 @@ class Simulator:
                 # method or partial would embed a memory address.
                 label = getattr(callback, "__qualname__", None) or type(callback).__name__
                 tracer.complete("sim.dispatch", event.time, self.now, callback=label)
-                tracer.counter("sim.queue_depth", self.now, float(self._pending))
+                pending = self.events_scheduled - self.events_executed - self.events_cancelled
+                tracer.counter("sim.queue_depth", self.now, float(pending))
         if until is not None and self.now < until:
             self.now = until
 
@@ -219,4 +218,4 @@ class Simulator:
 
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued (O(1))."""
-        return self._pending
+        return self.events_scheduled - self.events_executed - self.events_cancelled

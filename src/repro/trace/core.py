@@ -139,11 +139,22 @@ class _SpanContext:
         self._tracer.complete(self._name, self._begin_s, float(self._clock()), **self._args)
 
 
+#: Record type of each ring row, by the row's leading tag.
+_RECORD_TYPES = (SpanRecord, InstantRecord, CounterRecord)
+_SPAN, _INSTANT, _COUNTER = range(3)
+
+
 class Tracer(RingBuffer):
     """Collects trace records into a bounded ring buffer.
 
     All query methods return records in emission order; once the ring is
     full the oldest records are evicted first.
+
+    The ring holds plain ``(tag, *fields)`` tuples, and :meth:`records`
+    builds the typed records on read.  A traced run emits millions of
+    records; a tuple of strings and floats costs a fraction of a frozen
+    dataclass to build, and CPython's cyclic collector stops tracking it
+    after its first pass, so retained rows are not rescanned.
     """
 
     enabled = True
@@ -160,7 +171,7 @@ class Tracer(RingBuffer):
     def complete(self, name: str, begin_s: float, end_s: float, **args: Any) -> None:
         """Record a finished span ``[begin_s, end_s]``."""
         self._spans_emitted += 1
-        self._append(SpanRecord(name, begin_s, end_s, freeze_args(args)))
+        self._ring.append((_SPAN, name, begin_s, end_s, freeze_args(args)))
 
     def begin(self, name: str, begin_s: float, **args: Any) -> SpanHandle:
         """Open a span; the caller must ``end()`` the returned handle."""
@@ -179,7 +190,7 @@ class Tracer(RingBuffer):
     def instant(self, name: str, time_s: float, **args: Any) -> None:
         """Record a point event."""
         self._instants_emitted += 1
-        self._append(InstantRecord(name, time_s, freeze_args(args)))
+        self._ring.append((_INSTANT, name, time_s, freeze_args(args)))
 
     def counter(self, name: str, time_s: float | None, value: float) -> None:
         """Sample a counter series.
@@ -192,7 +203,7 @@ class Tracer(RingBuffer):
             self._counter_index[name] = index + 1
             time_s = float(index)
         self._counter_samples_emitted += 1
-        self._append(CounterRecord(name, time_s, float(value)))
+        self._ring.append((_COUNTER, name, time_s, float(value)))
 
     def bump(self, name: str, time_s: float | None, delta: float = 1.0) -> None:
         """Increment a monotone counter by ``delta`` and sample the new total."""
@@ -201,6 +212,10 @@ class Tracer(RingBuffer):
         self.counter(name, time_s, total)
 
     # ----------------------------------------------------------------- query
+    def records(self) -> list[Any]:
+        """All retained records in emission order (oldest first)."""
+        return [_RECORD_TYPES[row[0]](*row[1:]) for row in super().records()]
+
     def spans(self, name: str | None = None, prefix: str | None = None) -> list[SpanRecord]:
         """Retained spans, optionally filtered by exact ``name`` or ``prefix``."""
         out = [r for r in self.records() if type(r) is SpanRecord]

@@ -57,6 +57,43 @@ class TestSimulator:
         with pytest.raises(ValueError):
             Simulator().schedule(-1.0, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # NaN compares false with everything: accepted, it would fire first
+        # and set the clock to NaN for the length of its callback.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule(float("nan"), lambda: None)
+        assert sim.counters() == (0, 0, 0)
+        assert sim.pending_events() == 0
+
+    def test_nan_absolute_time_rejected(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "x")
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_at(float("nan"), fired.append, "nan")
+        sim.run()
+        assert fired == ["x"]
+        assert sim.now == 1.0
+
+    @pytest.mark.parametrize("audited", [False, True])
+    def test_run_until_nan_rejected(self, audited):
+        from contextlib import nullcontext
+
+        from repro.audit import auditing
+
+        with auditing() if audited else nullcontext():
+            sim = Simulator()
+            fired = []
+            sim.schedule(1.0, fired.append, "x")
+            with pytest.raises(ValueError, match="nan"):
+                sim.run(until=float("nan"))
+            assert fired == []
+            assert sim.now == 0.0
+            sim.run(until=2.0)
+        assert fired == ["x"]
+        assert sim.now == 2.0
+
     def test_schedule_at(self):
         sim = Simulator()
         times = []

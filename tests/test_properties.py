@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.core import LTE_PROFILE, NR_PROFILE
 from repro.net import DropTailQueue, Link, Packet, PathConfig, Simulator, build_cellular_path
 from repro.net.link import DelayProcess
+from repro.net.sim import PAST_TOLERANCE_S
 from repro.radio.linkadapt import spectral_efficiency_from_sinr
 from repro.radio.propagation import uma_los_path_loss_db, uma_nlos_path_loss_db
 from repro.transport.base import TcpConnection
@@ -43,6 +44,126 @@ class TestSimulatorProperties:
         sim.run(until=horizon)
         assert all(d <= horizon for d in fired)
         assert sorted(fired) == sorted(d for d in delays if d <= horizon)
+
+
+class _ListEvent:
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "fired")
+
+    def __init__(self, time, seq, callback, args):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        self.fired = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _ListSimulator:
+    """Dispatch-order oracle: a plain list, scanned for the smallest
+    ``(time, seq)`` live entry on every step."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []
+
+    def schedule(self, delay, callback, *args):
+        assert delay >= 0
+        event = _ListEvent(self.now + delay, len(self.entries) + 1, callback, args)
+        self.entries.append(event)
+        return event
+
+    def schedule_at(self, time, callback, *args):
+        delay = time - self.now
+        return self.schedule(0.0 if -PAST_TOLERANCE_S <= delay < 0.0 else delay, callback, *args)
+
+    def live(self):
+        return [e for e in self.entries if not e.cancelled and not e.fired]
+
+    def run(self, until=None):
+        while live := self.live():
+            event = min(live, key=lambda e: (e.time, e.seq))
+            if until is not None and event.time > until:
+                break
+            event.fired = True
+            self.now = event.time
+            event.callback(*event.args)
+        if until is not None and self.now < until:
+            self.now = until
+
+    def counters(self):
+        fired = sum(e.fired for e in self.entries)
+        # A cancel counts only while the event is still queued.
+        cancelled = sum(e.cancelled and not e.fired for e in self.entries)
+        return (len(self.entries), fired, cancelled)
+
+    def pending_events(self):
+        return len(self.live())
+
+
+#: Few distinct delays, so equal-time ties are common.
+_DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=2.0)
+#: Offsets from ``now`` for ``schedule_at``: inside the clamp tolerance,
+#: exactly now, or ahead.
+_OFFSETS = st.sampled_from([-PAST_TOLERANCE_S / 2, -1e-12, 0.0]) | st.floats(0.0, 2.0)
+_ACTIONS = st.one_of(
+    st.tuples(st.just("after"), _DELAYS),
+    st.tuples(st.just("at"), _OFFSETS),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=1000)),
+)
+#: Events a schedule may create, so dispatch-time spawning stays bounded.
+_MAX_EVENTS = 60
+
+
+def _drive(sim, initial, pre_cancels, plans, stages):
+    """Run one drawn schedule on ``sim``; return the fired event ids, their
+    times, and a ``(now, counters, pending)`` snapshot after every ``run``."""
+    handles, fired, snapshots = [], [], []
+
+    def spawn(kind, value):
+        if kind == "after":
+            handles.append(sim.schedule(value, fire, len(handles)))
+        else:
+            handles.append(sim.schedule_at(sim.now + value, fire, len(handles)))
+
+    def fire(event_id):
+        fired.append(event_id)
+        for kind, value in plans[event_id % len(plans)]:
+            if kind == "cancel":
+                handles[value % len(handles)].cancel()
+            elif len(handles) < _MAX_EVENTS:
+                spawn(kind, value)
+
+    for delay in initial:
+        spawn("after", delay)
+    for index in pre_cancels:
+        handles[index % len(handles)].cancel()
+    for until in [*stages, None]:
+        sim.run(until)
+        snapshots.append((sim.now, tuple(sim.counters()), sim.pending_events()))
+    return fired, [handles[i].time for i in fired], snapshots
+
+
+class TestDispatchOrderProperties:
+    @given(
+        st.lists(_DELAYS, min_size=1, max_size=15),
+        st.lists(st.integers(min_value=0, max_value=100), max_size=5),
+        st.lists(st.lists(_ACTIONS, max_size=3), min_size=1, max_size=8),
+        st.lists(st.floats(min_value=0.0, max_value=4.0), max_size=4).map(sorted),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dispatch_matches_a_plain_list_oracle(self, initial, pre_cancels, plans, stages):
+        """Callbacks fire in ``(time, seq)`` order of the events not
+        cancelled before their turn, through equal-time ties, clamped
+        ``schedule_at`` times, cancels before and during dispatch and a
+        run split at ``until`` bounds; counters and the pending count
+        agree with the oracle after every stage."""
+        real = _drive(Simulator(), initial, pre_cancels, plans, stages)
+        assert real == _drive(_ListSimulator(), initial, pre_cancels, plans, stages)
+        fired_ids, fired_times, _ = real
+        assert list(zip(fired_times, fired_ids)) == sorted(zip(fired_times, fired_ids))
 
 
 class TestLinkProperties:
